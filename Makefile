@@ -7,8 +7,8 @@ GO ?= go
 .PHONY: build test check vet race lint bench bench-obs bench-sim bench-detect bench-gate fuzz clean
 
 # FUZZTIME bounds each fuzz target's smoke run (the committed seed
-# corpora under internal/truenorth/testdata/fuzz always run as plain
-# tests; this is extra mutation time).
+# corpora under internal/{truenorth,eedn}/testdata/fuzz always run as
+# plain tests; this is extra mutation time).
 FUZZTIME ?= 15s
 
 build:
@@ -93,6 +93,7 @@ fuzz:
 	$(GO) test ./internal/truenorth -run '^$$' -fuzz '^FuzzModelRoundTrip$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/truenorth -run '^$$' -fuzz '^FuzzDenseSparseEquivalence$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/truenorth -run '^$$' -fuzz '^FuzzShardEquivalence$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/eedn -run '^$$' -fuzz '^FuzzDenseKernelEquivalence$$' -fuzztime $(FUZZTIME)
 
 clean:
 	rm -f BENCH_obs.json BENCH_sim.json BENCH_detect.json

@@ -152,14 +152,15 @@ type EednClassifier struct {
 	Scale float64
 }
 
-// Score implements detect.Scorer. The Eedn forward pass allocates its
-// layer activations per call, so this Scorer is outside the 0-alloc
-// scan envelope — acceptable because Eedn scoring is the training-side
-// evaluation path, not the deployed FPGA/TrueNorth pipeline.
-func (c *EednClassifier) Score(x []float64) float64 { //lint:allow hotalloc eedn forward pass allocates per call; not a deployment scorer
+// Score implements detect.Scorer. It runs on scratch from the
+// network's pool, staging the rescaled input in the scratch's input
+// buffer, so concurrent band workers can share one classifier and a
+// warm call makes no allocations.
+func (c *EednClassifier) Score(x []float64) float64 {
+	s := c.Net.GetScratch()
 	in := x
 	if c.Scale != 0 && c.Scale != 1 {
-		in = make([]float64, len(x))
+		in = s.Input()[:len(x)]
 		inv := 1 / c.Scale
 		for i, v := range x {
 			in[i] = v * inv
@@ -168,7 +169,9 @@ func (c *EednClassifier) Score(x []float64) float64 { //lint:allow hotalloc eedn
 			}
 		}
 	}
-	return c.Net.Forward(in)[0]
+	score := c.Net.ForwardInto(s, in)[0]
+	c.Net.PutScratch(s)
+	return score
 }
 
 // Partition is a co-trained extraction/classification pair, the

@@ -2,6 +2,8 @@ package core
 
 import (
 	"math/rand"
+	"reflect"
+	"sync"
 	"testing"
 
 	"repro/internal/dataset"
@@ -159,6 +161,89 @@ func TestEednClassifierScaling(t *testing.T) {
 	_ = c.Score([]float64{0, 64, 128, 32})
 	c2 := &EednClassifier{Net: net, Scale: 1}
 	_ = c2.Score([]float64{0, 1, 0.5, 0.2})
+}
+
+// TestEednClassifierScoreZeroAllocs pins the scorer's steady state at
+// the Fig 5 head's shape: scratch comes from the network's pool and
+// the rescaled descriptor is staged in it.
+func TestEednClassifierScoreZeroAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops puts under the race detector")
+	}
+	rng := rand.New(rand.NewSource(2))
+	net, err := eedn.NewClassifierNet(7560, 256, 2, rng)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := &EednClassifier{Net: net, Scale: 32}
+	x := make([]float64, 7560)
+	for i := range x {
+		x[i] = rng.Float64() * 40
+	}
+	want := c.Score(x)
+	if allocs := testing.AllocsPerRun(10, func() {
+		if got := c.Score(x); got != want {
+			t.Fatalf("score %v, then %v", want, got)
+		}
+	}); allocs != 0 {
+		t.Errorf("Score allocs/op = %v, want 0", allocs)
+	}
+}
+
+// TestConcurrentParrotGridAndScore shares one network between parrot
+// GridInto and EednClassifier.Score calls on concurrent goroutines,
+// as band workers do, and checks every result against a serial run.
+// Run it under -race to check the pooled scratch.
+func TestConcurrentParrotGridAndScore(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	net, err := eedn.NewParrotNet(parrot.NBins, 128, rng)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ex, err := parrot.NewExtractor(net, 8, false, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	clf := &EednClassifier{Net: net, Scale: 2}
+	const jobs = 8
+	imgs := make([]*imgproc.Image, jobs)
+	inputs := make([][]float64, jobs)
+	wantGrid := make([][]float64, jobs)
+	wantScore := make([]float64, jobs)
+	for k := range imgs {
+		imgs[k] = imgproc.New(48, 32)
+		for i := range imgs[k].Pix {
+			imgs[k].Pix[i] = rng.Float64()
+		}
+		inputs[k] = make([]float64, parrot.CellSide*parrot.CellSide)
+		for i := range inputs[k] {
+			inputs[k][i] = rng.Float64() * 2
+		}
+		var g hog.Grid
+		ex.GridInto(&g, imgs[k])
+		wantGrid[k] = append([]float64(nil), g.Data...)
+		wantScore[k] = clf.Score(inputs[k])
+	}
+	var wg sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			var g hog.Grid
+			for rep := 0; rep < 3; rep++ {
+				for k := w % 2; k < jobs; k += 2 {
+					ex.GridInto(&g, imgs[k])
+					if !reflect.DeepEqual(g.Data, wantGrid[k]) {
+						t.Errorf("worker %d: grid %d differs", w, k)
+					}
+					if got := clf.Score(inputs[k]); got != wantScore[k] {
+						t.Errorf("worker %d: score %d is %v, want %v", w, k, got, wantScore[k])
+					}
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
 }
 
 // TestAbsorbedBlindDecisions reproduces Sec. 5.1: with the training

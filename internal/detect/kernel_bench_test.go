@@ -15,7 +15,9 @@ import (
 // microbenchmarks cover every GridInto/DescriptorInto implementation:
 // the float reference HoG, the fixed-point FPGA model, the
 // spiking-quantized NApprox, and the parrot network (untrained — the
-// kernel cost does not depend on the weights).
+// kernel cost does not depend on the weights), both on raw values
+// ("parrot", window 0) and at the 8-spike input coding of the Fig 5
+// scans ("parrot-8spike").
 func benchExtractors(b *testing.B) map[string]Extractor {
 	b.Helper()
 	ref, err := hog.NewExtractor(hog.Reference())
@@ -38,14 +40,21 @@ func benchExtractors(b *testing.B) map[string]Extractor {
 	if err != nil {
 		b.Fatal(err)
 	}
-	return map[string]Extractor{"hog": ref, "fpga": fpga, "napprox": na, "parrot": pr}
+	pr8, err := parrot.NewExtractor(net, 8, false, nil)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return map[string]Extractor{"hog": ref, "fpga": fpga, "napprox": na, "parrot": pr, "parrot-8spike": pr8}
 }
+
+// benchParadigms lists benchExtractors' keys in benchmark order.
+var benchParadigms = []string{"hog", "fpga", "napprox", "parrot", "parrot-8spike"}
 
 // BenchmarkGridInto measures the per-level cell-grid kernels of every
 // extractor paradigm on a 160x160 image (the ScanInner level size).
 func BenchmarkGridInto(b *testing.B) {
 	img := dataset.NewGenerator(9).NegativeImage(160, 160)
-	for _, name := range []string{"hog", "fpga", "napprox", "parrot"} {
+	for _, name := range benchParadigms {
 		ext := benchExtractors(b)[name]
 		b.Run(name, func(b *testing.B) {
 			var g hog.Grid
@@ -64,7 +73,7 @@ func BenchmarkGridInto(b *testing.B) {
 // level like the scan inner loop does.
 func BenchmarkDescriptorInto(b *testing.B) {
 	img := dataset.NewGenerator(9).NegativeImage(160, 160)
-	for _, name := range []string{"hog", "fpga", "napprox", "parrot"} {
+	for _, name := range benchParadigms {
 		ext := benchExtractors(b)[name]
 		b.Run(name, func(b *testing.B) {
 			var g hog.Grid

@@ -32,13 +32,8 @@ type Conv2D struct {
 // NewConv2D returns a grouped convolution layer. InC and OutC must be
 // divisible by groups.
 func NewConv2D(inC, inH, inW, outC, k, stride, groups int, rng *rand.Rand) (*Conv2D, error) {
-	switch {
-	case inC <= 0 || inH <= 0 || inW <= 0 || outC <= 0 || k <= 0 || stride <= 0 || groups <= 0:
-		return nil, fmt.Errorf("eedn: conv dims must be positive")
-	case inC%groups != 0 || outC%groups != 0:
-		return nil, fmt.Errorf("eedn: channels %d/%d not divisible by groups %d", inC, outC, groups)
-	case inH < k || inW < k:
-		return nil, fmt.Errorf("eedn: kernel %d exceeds input %dx%d", k, inH, inW)
+	if err := checkConvGeometry(inC, inH, inW, outC, k, stride, groups); err != nil {
+		return nil, err
 	}
 	nw := outC * (inC / groups) * k * k
 	c := &Conv2D{
@@ -54,6 +49,21 @@ func NewConv2D(inC, inH, inW, outC, k, stride, groups int, rng *rand.Rand) (*Con
 		c.Hidden[i] = (rng.Float64()*2 - 1) * 0.8
 	}
 	return c, nil
+}
+
+// checkConvGeometry rejects shapes NewConv2D and Load cannot build:
+// nonpositive dimensions, channels not divisible by the groups, and a
+// kernel larger than the input.
+func checkConvGeometry(inC, inH, inW, outC, k, stride, groups int) error {
+	switch {
+	case inC <= 0 || inH <= 0 || inW <= 0 || outC <= 0 || k <= 0 || stride <= 0 || groups <= 0:
+		return fmt.Errorf("eedn: conv dims must be positive")
+	case inC%groups != 0 || outC%groups != 0:
+		return fmt.Errorf("eedn: channels %d/%d not divisible by groups %d", inC, outC, groups)
+	case inH < k || inW < k:
+		return fmt.Errorf("eedn: kernel %d exceeds input %dx%d", k, inH, inW)
+	}
+	return nil
 }
 
 // OutH returns the output height.
@@ -106,23 +116,24 @@ func (c *Conv2D) preact(x []float64, out []float64) {
 	}
 }
 
-// Forward computes the deployed binary-activation output.
-func (c *Conv2D) Forward(x []float64) []float64 {
-	if len(x) != c.InDim() {
+// checkIn panics unless n is the layer's input dimension.
+func (c *Conv2D) checkIn(n int) {
+	if n != c.InDim() {
 		//lint:allow errpanic dimension mismatch is a network-wiring bug; error returns would burden every training step
-		panic(fmt.Sprintf("eedn: conv forward input %d, want %d", len(x), c.InDim()))
+		panic(fmt.Sprintf("eedn: conv forward input %d, want %d", n, c.InDim()))
 	}
-	out := make([]float64, c.OutDim())
-	c.preact(x, out)
-	for i, v := range out {
-		if v >= 0 {
-			out[i] = 1
-		} else {
-			out[i] = 0
-		}
-	}
-	return out
 }
+
+// infer implements Layer. The convolution reads the float values of
+// its input, which the network always provides to it.
+func (c *Conv2D) infer(in activation, out []float64, nz []uint64) activation {
+	c.checkIn(len(in.x))
+	c.preact(in.x, out)
+	return output(out, nz, false)
+}
+
+// Forward computes the deployed binary-activation output.
+func (c *Conv2D) Forward(x []float64) []float64 { return forward(c, x) }
 
 // ForwardTrain is Forward with caching for Backward.
 func (c *Conv2D) ForwardTrain(x []float64) []float64 {
@@ -130,13 +141,7 @@ func (c *Conv2D) ForwardTrain(x []float64) []float64 {
 	out := make([]float64, c.OutDim())
 	c.preact(x, out)
 	c.lastPre = append(c.lastPre[:0], out...)
-	for i, v := range out {
-		if v >= 0 {
-			out[i] = 1
-		} else {
-			out[i] = 0
-		}
-	}
+	threshold(out)
 	return out
 }
 

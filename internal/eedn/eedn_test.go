@@ -32,6 +32,7 @@ func TestDenseForwardUsesTrinaryWeights(t *testing.T) {
 	d := NewDense(2, 1, rng)
 	d.Hidden[0] = 0.9  // -> +1
 	d.Hidden[1] = -0.2 // -> 0 (dead zone)
+	d.RebuildPlanes()
 	d.Bias[0] = 0
 	out := d.Forward([]float64{1, 1})
 	// pre = (1 + 0)/sqrt(2) >= 0 -> fires.
@@ -52,6 +53,7 @@ func TestDenseLinearReadout(t *testing.T) {
 	for i := range d.Hidden {
 		d.Hidden[i] = 1
 	}
+	d.RebuildPlanes()
 	d.Bias[0] = 0.25
 	out := d.Forward([]float64{1, 1, 1, 1})
 	want := 4.0/2 + 0.25 // sum/sqrt(4) + bias
@@ -411,6 +413,8 @@ func TestConfigsBuild(t *testing.T) {
 	}
 }
 
+// BenchmarkDenseForward7560 times the float kernel at the Fig 5 head's
+// first layer: a 7560-value descriptor into 256 neurons.
 func BenchmarkDenseForward7560(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	d := NewDense(7560, 256, rng)
@@ -418,9 +422,31 @@ func BenchmarkDenseForward7560(b *testing.B) {
 	for i := range x {
 		x[i] = rng.Float64()
 	}
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		_ = d.Forward(x)
+	}
+}
+
+// BenchmarkDenseForward7560Spikes is the spike-input twin: the same
+// layer on a packed 0/1 frame of half density, through the popcount
+// kernel into caller-owned buffers.
+func BenchmarkDenseForward7560Spikes(b *testing.B) {
+	rng := rand.New(rand.NewSource(1))
+	d := NewDense(7560, 256, rng)
+	x := make([]float64, 7560)
+	for i := range x {
+		x[i] = float64(rng.Intn(2))
+	}
+	xb := make([]uint64, spikeWords(d.In))
+	in := activation{nz: xb, spikes: markNonzero(x, xb)}
+	out := make([]float64, d.Out)
+	nz := make([]uint64, spikeWords(d.Out))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		d.infer(in, out, nz)
 	}
 }
 

@@ -57,7 +57,11 @@ func (n *Network) Save(w io.Writer) error {
 	return enc.Encode(out)
 }
 
-// Load reads a network written by Save.
+// Load reads a network written by Save. It rejects layers that cannot
+// run: bad geometry (including a conv kernel larger than its input)
+// and mismatched weight sizes. Non-finite parameters cannot arrive:
+// JSON has no NaN or infinity, and the decoder refuses numbers beyond
+// the float64 range.
 func Load(r io.Reader) (*Network, error) {
 	var in netJSON
 	if err := json.NewDecoder(r).Decode(&in); err != nil {
@@ -79,24 +83,15 @@ func Load(r io.Reader) (*Network, error) {
 			if len(lj.Hidden) != lj.In*lj.Out || len(lj.Bias) != lj.Out {
 				return nil, fmt.Errorf("eedn: layer %d weight sizes %d/%d", i, len(lj.Hidden), len(lj.Bias))
 			}
-			d := &Dense{
-				In: lj.In, Out: lj.Out, Linear: lj.Linear,
-				Hidden: lj.Hidden, Bias: lj.Bias,
-				vel:   make([]float64, lj.In*lj.Out),
-				velB:  make([]float64, lj.Out),
-				gradW: make([]float64, lj.In*lj.Out),
-				gradB: make([]float64, lj.Out),
-			}
-			layers = append(layers, d)
+			layers = append(layers, newDense(lj.In, lj.Out, lj.Hidden, lj.Bias, lj.Linear))
 		case "conv":
+			if err := checkConvGeometry(lj.InC, lj.InH, lj.InW, lj.OutC, lj.K, lj.Stride, lj.Groups); err != nil {
+				return nil, fmt.Errorf("eedn: layer %d: %w", i, err)
+			}
 			c := &Conv2D{
 				InC: lj.InC, InH: lj.InH, InW: lj.InW,
 				OutC: lj.OutC, K: lj.K, Stride: lj.Stride, Groups: lj.Groups,
 				Hidden: lj.Hidden, Bias: lj.Bias,
-			}
-			if c.InC <= 0 || c.OutC <= 0 || c.K <= 0 || c.Stride <= 0 || c.Groups <= 0 ||
-				c.InC%c.Groups != 0 || c.OutC%c.Groups != 0 {
-				return nil, fmt.Errorf("eedn: layer %d bad conv geometry", i)
 			}
 			want := c.OutC * (c.InC / c.Groups) * c.K * c.K
 			if len(c.Hidden) != want || len(c.Bias) != c.OutC {

@@ -75,6 +75,12 @@ func TestLoadErrors(t *testing.T) {
 		`{"version":1,"layers":[{"kind":"warp"}]}`,
 		`{"version":1,"layers":[{"kind":"dense","in":2,"out":1,"hidden":[1],"bias":[0]}]}`,
 		`{"version":1,"layers":[{"kind":"conv","in_c":3,"out_c":4,"groups":2,"k":3,"stride":1,"in_h":8,"in_w":8,"hidden":[],"bias":[]}]}`,
+		// A kernel larger than its input: OutH = OutW = -1 would give
+		// OutDim 1 and a bias-only output.
+		`{"version":1,"layers":[{"kind":"conv","in_c":1,"out_c":1,"groups":1,"k":3,"stride":1,"in_h":1,"in_w":1,"hidden":[0,0,0,0,0,0,0,0,0],"bias":[0]}]}`,
+		// Weights beyond the float64 range would decode to infinities.
+		`{"version":1,"layers":[{"kind":"dense","in":2,"out":1,"hidden":[1e999,0],"bias":[0]}]}`,
+		`{"version":1,"layers":[{"kind":"dense","in":2,"out":1,"hidden":[0,0],"bias":[-1e400]}]}`,
 	}
 	for i, c := range cases {
 		if _, err := Load(strings.NewReader(c)); err == nil {

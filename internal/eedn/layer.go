@@ -16,11 +16,34 @@
 // (stochastically or by thresholding against a deterministic schedule)
 // and output spikes are accumulated over the coding window, yielding
 // confidence values in [0, 1].
+//
+// # Bit-plane invariant
+//
+// A Dense layer keeps its deployed trinary weights compiled next to
+// Hidden as two bit-planes, pos and neg, one bit per input and row:
+// bit i of row j is set in pos exactly when Hidden[j*In+i] >=
+// TrinaryDeadZone and in neg exactly when it is <= -TrinaryDeadZone.
+// Every pass reads the planes, never Hidden, through one of two
+// kernels that give the same bits as the per-weight trinarizing loop:
+//
+//   - spike inputs (0/1 values, packed one bit each), which every
+//     hidden layer and every InferSpiking frame sees, take
+//     popcount(pos&x) - popcount(neg&x), exact because the float loop
+//     sums ±1 into integers far below 2^53;
+//   - float inputs walk the set bits of pos|neg in ascending order,
+//     skipping zero inputs, and add ±x[i], the float loop's summation
+//     order.
+//
+// NewDense, Load and Update keep the planes current (Update rewrites
+// each row in its pass over Hidden), and TrainParallel replicas share
+// them as they share Hidden. Any other write to Hidden must be
+// followed by RebuildPlanes before the next pass.
 package eedn
 
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"math/rand"
 )
 
@@ -51,14 +74,21 @@ func steWindow(v float64) float64 {
 	return 1 - a
 }
 
+// spikeWords returns the number of uint64 words that hold n spikes,
+// one bit each, bit i in word i/64 at position i%64.
+func spikeWords(n int) int { return (n + 63) >> 6 }
+
 // Dense is a fully connected Eedn layer with trinary deployed weights,
 // per-neuron bias (threshold), and binary threshold activation. The
 // pre-activation is normalized by sqrt(fan-in) so layer dynamics stay
-// scale-stable as width varies.
+// scale-stable as width varies. Build it with NewDense or Load, which
+// compile the deployed bit-planes.
 type Dense struct {
 	In, Out int
 	// Hidden holds the high-precision training weights, Out x In
-	// row-major.
+	// row-major. Passes read the deployed bit-planes compiled from it
+	// (see the package doc), so after editing Hidden directly, call
+	// RebuildPlanes before the next pass; Update keeps them current.
 	Hidden []float64
 	// Bias holds per-neuron biases (negated firing thresholds).
 	Bias []float64
@@ -67,6 +97,10 @@ type Dense struct {
 	// threshold; when true it is a linear readout (used only as the
 	// last layer of regression heads).
 	Linear bool
+
+	// pos and neg are the deployed weights, Out rows of
+	// spikeWords(In) words each (see the package doc).
+	pos, neg []uint64
 
 	// training state
 	vel     []float64 // momentum for weights
@@ -85,18 +119,26 @@ func NewDense(in, out int, rng *rand.Rand) *Dense {
 		//lint:allow errpanic nonpositive layer shape is a construction bug caught at network-definition time
 		panic(fmt.Sprintf("eedn: dense %dx%d invalid", in, out))
 	}
+	hidden := make([]float64, in*out)
+	for i := range hidden {
+		hidden[i] = (rng.Float64()*2 - 1) * 0.8
+	}
+	return newDense(in, out, hidden, make([]float64, out), false)
+}
+
+// newDense wraps validated parameters with fresh optimizer state and
+// compiled planes.
+func newDense(in, out int, hidden, bias []float64, linear bool) *Dense {
 	d := &Dense{
-		In: in, Out: out,
-		Hidden: make([]float64, in*out),
-		Bias:   make([]float64, out),
+		In: in, Out: out, Linear: linear,
+		Hidden: hidden,
+		Bias:   bias,
 		vel:    make([]float64, in*out),
 		velB:   make([]float64, out),
 		gradW:  make([]float64, in*out),
 		gradB:  make([]float64, out),
 	}
-	for i := range d.Hidden {
-		d.Hidden[i] = (rng.Float64()*2 - 1) * 0.8
-	}
+	d.RebuildPlanes()
 	return d
 }
 
@@ -106,61 +148,242 @@ func (d *Dense) InDim() int { return d.In }
 // OutDim returns the output dimension.
 func (d *Dense) OutDim() int { return d.Out }
 
-// preact computes the normalized pre-activation with trinary weights.
-func (d *Dense) preact(x []float64, out []float64) {
-	norm := 1 / math.Sqrt(float64(d.In))
+// RebuildPlanes recompiles the deployed bit-planes from Hidden. Call
+// it after writing Hidden other than through Update.
+func (d *Dense) RebuildPlanes() {
+	if n := d.Out * spikeWords(d.In); len(d.pos) != n {
+		d.pos = make([]uint64, n)
+		d.neg = make([]uint64, n)
+	}
 	for j := 0; j < d.Out; j++ {
-		row := d.Hidden[j*d.In : (j+1)*d.In]
-		var s float64
-		for i, w := range row {
-			switch {
-			case w >= TrinaryDeadZone:
-				s += x[i]
-			case w <= -TrinaryDeadZone:
-				s -= x[i]
-			}
+		d.packRow(j)
+	}
+}
+
+// packRow recompiles row j of the planes from Hidden.
+func (d *Dense) packRow(j int) {
+	w := spikeWords(d.In)
+	pos := d.pos[j*w : (j+1)*w]
+	neg := d.neg[j*w : (j+1)*w]
+	clear(pos)
+	clear(neg)
+	for i, h := range d.Hidden[j*d.In : (j+1)*d.In] {
+		switch {
+		case h >= TrinaryDeadZone:
+			pos[i>>6] |= 1 << (i & 63)
+		case h <= -TrinaryDeadZone:
+			neg[i>>6] |= 1 << (i & 63)
 		}
+	}
+}
+
+// checkIn panics unless n is the layer's input dimension.
+func (d *Dense) checkIn(n int) {
+	if n != d.In {
+		//lint:allow errpanic dimension mismatch is a network-wiring bug; error returns would burden every training step
+		panic(fmt.Sprintf("eedn: dense forward input %d, want %d", n, d.In))
+	}
+}
+
+// checkOut panics unless n is the layer's output dimension.
+func (d *Dense) checkOut(n int) {
+	if n != d.Out {
+		//lint:allow errpanic dimension mismatch is a network-wiring bug; error returns would burden every training step
+		panic(fmt.Sprintf("eedn: dense backward gradient %d, want %d", n, d.Out))
+	}
+}
+
+// preact computes the normalized pre-activation of in: the popcount
+// kernel for spikes, the float kernel otherwise.
+func (d *Dense) preact(in activation, out []float64) {
+	if in.spikes {
+		d.preactSpikes(in.nz, out)
+	} else {
+		d.preactFloat(in.x, in.nz, out)
+	}
+}
+
+// preactFloat computes the normalized pre-activation of float input x,
+// whose nonzero entries nz marks.
+func (d *Dense) preactFloat(x []float64, nz []uint64, out []float64) {
+	w := spikeWords(d.In)
+	norm := 1 / math.Sqrt(float64(d.In))
+	for j := range out[:d.Out] {
+		s := rowSum(d.pos[j*w:(j+1)*w], d.neg[j*w:(j+1)*w], nz, x)
 		out[j] = s*norm + d.Bias[j]
 	}
 }
 
-// Forward computes the deployed-network output for x: binary threshold
-// spikes unless the layer is Linear.
-func (d *Dense) Forward(x []float64) []float64 {
-	if len(x) != d.In {
-		//lint:allow errpanic dimension mismatch is a network-wiring bug; error returns would burden every training step
-		panic(fmt.Sprintf("eedn: dense forward input %d, want %d", len(x), d.In))
+// rowSum adds +x[i] or -x[i] for the set bits of pos|neg in ascending
+// i, the order of the per-weight loop it replaces, and gives its bits:
+//
+//   - It skips the zero entries of x, which nz leaves unmarked. The sum
+//     starts at +0 and a sum is -0 only when both terms are, so it is
+//     never -0, and adding a signed zero to it changes nothing.
+//   - It applies the sign by flipping the sign bit of x[i] instead of
+//     branching, because s + (-v) is s - v for every non-NaN s and v.
+//     A NaN sum, whose sign bit could then differ, is recomputed by
+//     rowSumSub. The sign of a weight is unpredictable, and the
+//     branch-free walk runs cotrain-parrot 1.7x faster than rowSumSub
+//     alone (9.8 vs 5.6 items per CPU second, medians of 10 runs on a
+//     2-vCPU Xeon).
+func rowSum(pos, neg, nz []uint64, x []float64) float64 {
+	neg, nz = neg[:len(pos)], nz[:len(pos)]
+	var s float64
+	for k, p := range pos {
+		xs := x[k<<6:]
+		for m := (p | neg[k]) & nz[k]; m != 0; m &= m - 1 {
+			b := bits.TrailingZeros64(m)
+			s += math.Float64frombits(math.Float64bits(xs[b]) ^ (^p>>b&1)<<63)
+		}
 	}
-	out := make([]float64, d.Out)
-	d.preact(x, out)
-	if !d.Linear {
-		for j, v := range out {
-			if v >= 0 {
-				out[j] = 1
+	if s != s {
+		return rowSumSub(pos, neg, nz, x)
+	}
+	return s
+}
+
+// rowSumSub is rowSum with an explicit subtraction for each negative
+// weight.
+func rowSumSub(pos, neg, nz []uint64, x []float64) float64 {
+	var s float64
+	for k, p := range pos {
+		xs := x[k<<6:]
+		for m := (p | neg[k]) & nz[k]; m != 0; m &= m - 1 {
+			b := bits.TrailingZeros64(m)
+			if p&(1<<b) != 0 {
+				s += xs[b]
 			} else {
-				out[j] = 0
+				s -= xs[b]
 			}
 		}
 	}
+	return s
+}
+
+// preactSpikes computes the normalized pre-activation of the spike
+// frame xb: the row sum over 0/1 inputs is an integer count.
+func (d *Dense) preactSpikes(xb []uint64, out []float64) {
+	w := spikeWords(d.In)
+	xb = xb[:w]
+	norm := 1 / math.Sqrt(float64(d.In))
+	for j := 0; j < d.Out; j++ {
+		pos := d.pos[j*w : (j+1)*w][:len(xb)]
+		neg := d.neg[j*w : (j+1)*w][:len(xb)]
+		c := 0
+		for k, x := range xb {
+			c += bits.OnesCount64(pos[k]&x) - bits.OnesCount64(neg[k]&x)
+		}
+		out[j] = float64(c)*norm + d.Bias[j]
+	}
+}
+
+// The packing loops below build each mask word in a register from
+// branch-free bit selects: whether an input is zero, or fires, is
+// unpredictable.
+
+// markNonzero sets bit i of nz exactly when x[i] != 0 and reports
+// whether every nonzero entry is 1, i.e. whether nz alone is x as a
+// spike frame.
+func markNonzero(x []float64, nz []uint64) (spikes bool) {
+	var other uint64
+	for k := range nz {
+		var w uint64
+		for b, v := range x[min(k<<6, len(x)):min((k+1)<<6, len(x))] {
+			var set, notOne uint64
+			if v != 0 {
+				set = 1
+			}
+			if v != 1 {
+				notOne = 1
+			}
+			w |= set << b
+			other |= set & notOne
+		}
+		nz[k] = w
+	}
+	return other == 0
+}
+
+// threshold replaces each pre-activation by its binary spike, v >= 0.
+func threshold(pre []float64) {
+	for j, v := range pre {
+		if v >= 0 {
+			pre[j] = 1
+		} else {
+			pre[j] = 0
+		}
+	}
+}
+
+// fire is threshold packing the spikes into nz.
+func fire(pre []float64, nz []uint64) {
+	for k := range nz {
+		seg := pre[min(k<<6, len(pre)):min((k+1)<<6, len(pre))]
+		var w uint64
+		for b, v := range seg {
+			var spike uint64
+			if v >= 0 {
+				spike = 1
+			}
+			seg[b] = float64(spike)
+			w |= spike << b
+		}
+		nz[k] = w
+	}
+}
+
+// output finishes a layer pass: it fires pre unless linear and returns
+// it as the next layer's input, marked into nz.
+func output(pre []float64, nz []uint64, linear bool) activation {
+	if linear {
+		return activation{x: pre, nz: nz, spikes: markNonzero(pre, nz)}
+	}
+	fire(pre, nz)
+	return activation{x: pre, nz: nz, spikes: true}
+}
+
+// infer implements Layer.
+func (d *Dense) infer(in activation, out []float64, nz []uint64) activation {
+	if in.x != nil {
+		d.checkIn(len(in.x))
+	}
+	d.preact(in, out)
+	return output(out, nz, d.Linear)
+}
+
+// Forward computes the deployed-network output for x: binary threshold
+// spikes unless the layer is Linear.
+func (d *Dense) Forward(x []float64) []float64 { return forward(d, x) }
+
+// forward is infer of l on x into fresh buffers.
+func forward(l Layer, x []float64) []float64 {
+	nz := make([]uint64, spikeWords(len(x)))
+	out := make([]float64, l.OutDim())
+	l.infer(activation{x: x, nz: nz, spikes: markNonzero(x, nz)}, out, make([]uint64, spikeWords(len(out))))
 	return out
 }
 
 // ForwardTrain is Forward with caching for Backward.
 func (d *Dense) ForwardTrain(x []float64) []float64 {
+	d.checkIn(len(x))
 	d.lastIn = append(d.lastIn[:0], x...)
+	nz := make([]uint64, spikeWords(d.In))
 	out := make([]float64, d.Out)
-	d.preact(x, out)
+	d.preact(activation{x: x, nz: nz, spikes: markNonzero(x, nz)}, out)
 	d.lastPre = append(d.lastPre[:0], out...)
 	if !d.Linear {
-		for j, v := range out {
-			if v >= 0 {
-				out[j] = 1
-			} else {
-				out[j] = 0
-			}
-		}
+		threshold(out)
 	}
 	return out
+}
+
+// accumulateGradW adds gn * lastIn to row j of the weight gradient.
+func (d *Dense) accumulateGradW(j int, gn float64) {
+	gRow := d.gradW[j*d.In : (j+1)*d.In]
+	for i, v := range d.lastIn {
+		gRow[i] += gn * v
+	}
 }
 
 // Backward accumulates parameter gradients for the cached forward pass
@@ -169,10 +392,8 @@ func (d *Dense) ForwardTrain(x []float64) []float64 {
 // weight gradients flow to the hidden weights as if the deployed
 // weight were the hidden value (the BinaryConnect/Eedn convention).
 func (d *Dense) Backward(gradOut []float64) []float64 {
-	if len(gradOut) != d.Out {
-		//lint:allow errpanic dimension mismatch is a network-wiring bug; error returns would burden every training step
-		panic("eedn: dense backward dim mismatch")
-	}
+	d.checkOut(len(gradOut))
+	w := spikeWords(d.In)
 	norm := 1 / math.Sqrt(float64(d.In))
 	gradIn := make([]float64, d.In)
 	for j := 0; j < d.Out; j++ {
@@ -184,16 +405,19 @@ func (d *Dense) Backward(gradOut []float64) []float64 {
 			continue
 		}
 		d.gradB[j] += g
-		row := d.Hidden[j*d.In : (j+1)*d.In]
-		gRow := d.gradW[j*d.In : (j+1)*d.In]
 		gn := g * norm
-		for i := range row {
-			gRow[i] += gn * d.lastIn[i]
-			switch {
-			case row[i] >= TrinaryDeadZone:
-				gradIn[i] += gn
-			case row[i] <= -TrinaryDeadZone:
-				gradIn[i] -= gn
+		d.accumulateGradW(j, gn)
+		pos := d.pos[j*w : (j+1)*w]
+		neg := d.neg[j*w : (j+1)*w][:len(pos)]
+		for k, p := range pos {
+			gi := gradIn[k<<6:]
+			for m := p | neg[k]; m != 0; m &= m - 1 {
+				b := bits.TrailingZeros64(m)
+				if p&(1<<b) != 0 {
+					gi[b] += gn
+				} else {
+					gi[b] -= gn
+				}
 			}
 		}
 	}
@@ -204,10 +428,7 @@ func (d *Dense) Backward(gradOut []float64) []float64 {
 // computing the input gradient — valid only for the first layer of a
 // network, where nothing consumes it.
 func (d *Dense) BackwardParamsOnly(gradOut []float64) {
-	if len(gradOut) != d.Out {
-		//lint:allow errpanic dimension mismatch is a network-wiring bug; error returns would burden every training step
-		panic("eedn: dense backward dim mismatch")
-	}
+	d.checkOut(len(gradOut))
 	norm := 1 / math.Sqrt(float64(d.In))
 	for j := 0; j < d.Out; j++ {
 		g := gradOut[j]
@@ -218,31 +439,31 @@ func (d *Dense) BackwardParamsOnly(gradOut []float64) {
 			continue
 		}
 		d.gradB[j] += g
-		gRow := d.gradW[j*d.In : (j+1)*d.In]
-		gn := g * norm
-		for i, x := range d.lastIn {
-			gRow[i] += gn * x
-		}
+		d.accumulateGradW(j, g*norm)
 	}
 }
 
 // Update applies one SGD-with-momentum step from the accumulated
-// gradients (scaled by 1/batch), clips hidden weights to [-1, 1], and
-// clears the gradient accumulators.
+// gradients (scaled by 1/batch), clips hidden weights to [-1, 1],
+// clears the gradient accumulators, and recompiles each row's planes
+// right after updating it.
 func (d *Dense) Update(lr, momentum float64, batch int) {
 	if batch <= 0 {
 		batch = 1
 	}
 	inv := 1 / float64(batch)
-	for i := range d.Hidden {
-		d.vel[i] = momentum*d.vel[i] - lr*d.gradW[i]*inv
-		d.Hidden[i] += d.vel[i]
-		if d.Hidden[i] > 1 {
-			d.Hidden[i] = 1
-		} else if d.Hidden[i] < -1 {
-			d.Hidden[i] = -1
+	for j := 0; j < d.Out; j++ {
+		for i := j * d.In; i < (j+1)*d.In; i++ {
+			d.vel[i] = momentum*d.vel[i] - lr*d.gradW[i]*inv
+			d.Hidden[i] += d.vel[i]
+			if d.Hidden[i] > 1 {
+				d.Hidden[i] = 1
+			} else if d.Hidden[i] < -1 {
+				d.Hidden[i] = -1
+			}
+			d.gradW[i] = 0
 		}
-		d.gradW[i] = 0
+		d.packRow(j)
 	}
 	for j := range d.Bias {
 		d.velB[j] = momentum*d.velB[j] - lr*d.gradB[j]*inv

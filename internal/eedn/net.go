@@ -4,9 +4,11 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"sync"
 )
 
-// Layer is one stage of an Eedn network.
+// Layer is one stage of an Eedn network: a Dense or a Conv2D, as the
+// unexported infer method keeps the set closed.
 type Layer interface {
 	Forward(x []float64) []float64
 	ForwardTrain(x []float64) []float64
@@ -14,12 +16,29 @@ type Layer interface {
 	Update(lr, momentum float64, batch int)
 	InDim() int
 	OutDim() int
+	// infer is Forward into caller-owned buffers: it writes the
+	// output for input in into out, marks its nonzero entries in nz,
+	// and returns it as the next layer's input.
+	infer(in activation, out []float64, nz []uint64) activation
+}
+
+// activation is a layer input: the values x and the mask nz of their
+// nonzero entries (bit i set exactly when x[i] != 0). spikes records
+// that every nonzero entry is 1, so that nz alone is the input; x may
+// then be nil.
+type activation struct {
+	x      []float64
+	nz     []uint64
+	spikes bool
 }
 
 // Network is a stack of Eedn layers trained by backpropagation on the
 // hidden weights with trinary deployment, per the Eedn methodology.
+// Build it with NewNetwork or Load, which set up its scratch pool.
 type Network struct {
 	Layers []Layer
+
+	scratch sync.Pool // of *Scratch sized for this network
 }
 
 // NewNetwork validates that consecutive layer dimensions agree.
@@ -33,7 +52,9 @@ func NewNetwork(layers ...Layer) (*Network, error) {
 				i, layers[i].InDim(), i-1, layers[i-1].OutDim())
 		}
 	}
-	return &Network{Layers: layers}, nil
+	n := &Network{Layers: layers}
+	n.scratch.New = func() any { return n.NewScratch() }
+	return n, nil
 }
 
 // InDim returns the network input dimension.
@@ -42,12 +63,75 @@ func (n *Network) InDim() int { return n.Layers[0].InDim() }
 // OutDim returns the network output dimension.
 func (n *Network) OutDim() int { return n.Layers[len(n.Layers)-1].OutDim() }
 
+// Scratch is the working memory of allocation-free inference on one
+// network: an input staging buffer, the input's nonzero mask (or
+// packed spike frame), every layer's output and its nonzero mask, and
+// the spike-count accumulator. A Scratch serves one goroutine at a
+// time; GetScratch and PutScratch recycle them for concurrent callers.
+type Scratch struct {
+	in     []float64
+	frame  []uint64
+	fframe []float64 // float frame, when the first layer is not Dense
+	outs   [][]float64
+	nzs    [][]uint64
+	acc    []float64
+}
+
+// NewScratch returns scratch sized for n.
+func (n *Network) NewScratch() *Scratch {
+	s := &Scratch{
+		in:    make([]float64, n.InDim()),
+		frame: make([]uint64, spikeWords(n.InDim())),
+		outs:  make([][]float64, len(n.Layers)),
+		nzs:   make([][]uint64, len(n.Layers)),
+		acc:   make([]float64, n.OutDim()),
+	}
+	if _, ok := n.Layers[0].(*Dense); !ok {
+		s.fframe = make([]float64, n.InDim())
+	}
+	for i, l := range n.Layers {
+		s.outs[i] = make([]float64, l.OutDim())
+		s.nzs[i] = make([]uint64, spikeWords(l.OutDim()))
+	}
+	return s
+}
+
+// Input returns s's staging buffer of InDim values, where callers can
+// build a network input without allocating. ForwardInto and
+// InferSpikingInto accept it as x.
+func (s *Scratch) Input() []float64 { return s.in }
+
+// GetScratch takes a Scratch for n from n's pool, allocating one only
+// when the pool is empty. Hand it back with PutScratch.
+func (n *Network) GetScratch() *Scratch {
+	s, _ := n.scratch.Get().(*Scratch)
+	return s
+}
+
+// PutScratch returns a Scratch taken with GetScratch to n's pool.
+func (n *Network) PutScratch(s *Scratch) { n.scratch.Put(s) }
+
 // Forward runs one deployed (trinary-weight) pass.
 func (n *Network) Forward(x []float64) []float64 {
-	for _, l := range n.Layers {
-		x = l.Forward(x)
+	s := n.GetScratch()
+	out := append([]float64(nil), n.ForwardInto(s, x)...)
+	n.PutScratch(s)
+	return out
+}
+
+// ForwardInto is Forward with s as working memory and makes no
+// allocations. The returned output aliases s and stays valid until s
+// is used again.
+func (n *Network) ForwardInto(s *Scratch, x []float64) []float64 {
+	return n.infer(s, activation{x: x, nz: s.frame, spikes: markNonzero(x, s.frame)})
+}
+
+// infer runs every layer, each on the previous one's output.
+func (n *Network) infer(s *Scratch, in activation) []float64 {
+	for i, l := range n.Layers {
+		in = l.infer(in, s.outs[i], s.nzs[i])
 	}
-	return x
+	return in.x
 }
 
 // forwardTrain runs a cached pass for training.
@@ -235,23 +319,74 @@ func BinarizeStochastic(x []float64, rng *rand.Rand, dst []float64) []float64 {
 	return dst
 }
 
+// packDeterministic is BinarizeDeterministic packing the frame
+// straight into spike words.
+func packDeterministic(x []float64, t, window int, dst []uint64) {
+	th := (float64(t) + 0.5) / float64(window)
+	for k := range dst {
+		var w uint64
+		for b, v := range x[min(k<<6, len(x)):min((k+1)<<6, len(x))] {
+			var spike uint64
+			if v >= th {
+				spike = 1
+			}
+			w |= spike << b
+		}
+		dst[k] = w
+	}
+}
+
+// packStochastic is BinarizeStochastic packing the frame straight into
+// spike words; it draws from rng exactly as BinarizeStochastic does.
+func packStochastic(x []float64, rng *rand.Rand, dst []uint64) {
+	clear(dst)
+	for i, v := range x {
+		if rng.Float64() < v {
+			dst[i>>6] |= 1 << (i & 63)
+		}
+	}
+}
+
 // InferSpiking runs `window` binary passes over the network with
 // stochastic (rng != nil) or deterministic input coding, and returns
 // the per-output mean — the spike-count confidence the hardware
 // accumulates over the coding window (Sec. 5.2's n-spike options).
 func (n *Network) InferSpiking(x []float64, window int, rng *rand.Rand) []float64 {
+	s := n.GetScratch()
+	out := append([]float64(nil), n.InferSpikingInto(s, x, window, rng)...)
+	n.PutScratch(s)
+	return out
+}
+
+// InferSpikingInto is InferSpiking with s as working memory and makes
+// no allocations. Frames are packed straight into spike words for a
+// Dense first layer. The returned output aliases s and stays valid
+// until s is used again.
+func (n *Network) InferSpikingInto(s *Scratch, x []float64, window int, rng *rand.Rand) []float64 {
 	if window <= 0 {
-		return n.Forward(x)
+		return n.ForwardInto(s, x)
 	}
-	acc := make([]float64, n.OutDim())
-	frame := make([]float64, len(x))
+	first, packed := n.Layers[0].(*Dense)
+	if packed {
+		first.checkIn(len(x))
+	}
+	acc := s.acc
+	clear(acc)
 	for t := 0; t < window; t++ {
-		if rng != nil {
-			BinarizeStochastic(x, rng, frame)
-		} else {
-			BinarizeDeterministic(x, t, window, frame)
+		var out []float64
+		spikes := activation{nz: s.frame, spikes: true}
+		switch {
+		case packed && rng != nil:
+			packStochastic(x, rng, s.frame)
+			out = n.infer(s, spikes)
+		case packed:
+			packDeterministic(x, t, window, s.frame)
+			out = n.infer(s, spikes)
+		case rng != nil:
+			out = n.infer(s, activation{x: BinarizeStochastic(x, rng, s.fframe[:len(x)])})
+		default:
+			out = n.infer(s, activation{x: BinarizeDeterministic(x, t, window, s.fframe[:len(x)])})
 		}
-		out := n.Forward(frame)
 		for i, v := range out {
 			acc[i] += v
 		}

@@ -268,15 +268,13 @@ func (e *Extractor) SetNorm(norm hog.NormMode) error {
 	return nil
 }
 
-// infer runs the network at the configured precision.
-func (e *Extractor) infer(pix []float64) []float64 {
-	if e.Window <= 0 {
-		return e.Net.Forward(pix)
-	}
+// infer runs the network at the configured precision on pix, with s
+// as working memory; the result aliases s.
+func (e *Extractor) infer(s *eedn.Scratch, pix []float64) []float64 {
 	if e.Stochastic {
-		return e.Net.InferSpiking(pix, e.Window, e.Rng)
+		return e.Net.InferSpikingInto(s, pix, e.Window, e.Rng)
 	}
-	return e.Net.InferSpiking(pix, e.Window, nil)
+	return e.Net.InferSpikingInto(s, pix, e.Window, nil)
 }
 
 // CellHistogram returns the parrot confidences for one 10x10 cell,
@@ -294,8 +292,7 @@ func (e *Extractor) CellHistogram(cell *imgproc.Image) ([]float64, error) {
 }
 
 // CellHistogramInto is CellHistogram writing into a caller-provided
-// histogram (NBins long), with the median scratch kept on the stack.
-// Network inference still allocates internally.
+// histogram (NBins long). Inference runs on pooled network scratch.
 func (e *Extractor) CellHistogramInto(hist []float64, cell *imgproc.Image) error {
 	if cell.W != CellSide || cell.H != CellSide {
 		return fmt.Errorf("parrot: cell must be %dx%d, got %dx%d",
@@ -304,7 +301,16 @@ func (e *Extractor) CellHistogramInto(hist []float64, cell *imgproc.Image) error
 	if len(hist) != NBins {
 		return fmt.Errorf("parrot: hist has %d bins, want %d", len(hist), NBins)
 	}
-	out := e.infer(cell.Pix)
+	s := e.Net.GetScratch()
+	e.cellHistogram(hist, cell.Pix, s)
+	e.Net.PutScratch(s)
+	return nil
+}
+
+// cellHistogram writes the histogram of the CellSide x CellSide patch
+// pix into hist (NBins long).
+func (e *Extractor) cellHistogram(hist, pix []float64, s *eedn.Scratch) {
+	out := e.infer(s, pix)
 	// Median subtraction keeps the upper half of the confidence
 	// distribution, yielding sparse histogram-like features.
 	var sortedArr [NBins]float64
@@ -319,7 +325,6 @@ func (e *Extractor) CellHistogramInto(hist []float64, cell *imgproc.Image) error
 			hist[k] = 0
 		}
 	}
-	return nil
 }
 
 // CellGrid computes parrot histograms for every 8x8 cell of img, each
@@ -331,13 +336,13 @@ func (e *Extractor) CellGrid(img *imgproc.Image) [][][]float64 {
 }
 
 // GridInto computes parrot histograms for every cell of img into g,
-// reusing g's backing storage (identical values to CellGrid). One
-// bordered patch is reused across cells and histograms are written
-// straight into the grid through CellHistogramInto, so the only
-// remaining allocations are inside network inference; calls are NOT
-// concurrency-safe when Stochastic (the shared Rng serializes coding
-// draws). The descriptor block plane is prepared at the end so
-// DescriptorInto serves windows from pre-normalized copies.
+// reusing g's backing storage (identical values to CellGrid). Each
+// bordered patch is staged in the input buffer of one pooled network
+// scratch, and histograms are written straight into the grid, so a
+// warm call makes no allocations. Concurrent calls on distinct grids
+// are safe unless Stochastic (the shared Rng is not). The descriptor
+// block plane is prepared at the end so DescriptorInto serves windows
+// from pre-normalized copies.
 func (e *Extractor) GridInto(g *hog.Grid, img *imgproc.Image) {
 	const cs = 8
 	cx, cy := img.W/cs, img.H/cs
@@ -345,25 +350,24 @@ func (e *Extractor) GridInto(g *hog.Grid, img *imgproc.Image) {
 	if cx == 0 || cy == 0 {
 		return
 	}
-	patch := imgproc.New(CellSide, CellSide)
+	s := e.Net.GetScratch()
+	pix := s.Input()
 	for j := 0; j < cy; j++ {
 		for i := 0; i < cx; i++ {
-			fillPatch(patch, img, i*cs-1, j*cs-1)
-			if err := e.CellHistogramInto(g.Hist(i, j), patch); err != nil {
-				// Unreachable: patch and grid dimensions are fixed.
-				//lint:allow errpanic fillPatch always yields CellSide patches and Reset sizes NBins histograms, so CellHistogramInto cannot fail here
-				panic(err)
-			}
+			fillPatch(pix, img, i*cs-1, j*cs-1)
+			e.cellHistogram(g.Hist(i, j), pix, s)
 		}
 	}
+	e.Net.PutScratch(s)
 	e.asm.PrepareBlocks(g)
 }
 
 // fillPatch copies the CellSide x CellSide region of img at (x0, y0)
-// into dst with replicate padding, matching imgproc.SubImage.
-func fillPatch(dst, img *imgproc.Image, x0, y0 int) {
+// into dst, row-major, with replicate padding, matching
+// imgproc.SubImage.
+func fillPatch(dst []float64, img *imgproc.Image, x0, y0 int) {
 	for y := 0; y < CellSide; y++ {
-		row := dst.Pix[y*CellSide : (y+1)*CellSide]
+		row := dst[y*CellSide : (y+1)*CellSide]
 		for x := range row {
 			row[x] = img.At(x0+x, y0+y)
 		}
