@@ -4,10 +4,10 @@
 
 GO ?= go
 
-.PHONY: build test check vet race lint bench bench-obs bench-sim bench-detect bench-gate fuzz clean
+.PHONY: build test check vet fmt race lint bench bench-obs bench-sim bench-detect bench-gate fuzz clean
 
 # FUZZTIME bounds each fuzz target's smoke run (the committed seed
-# corpora under internal/{truenorth,eedn}/testdata/fuzz always run as
+# corpora under internal/{truenorth,eedn,hog}/testdata/fuzz always run as
 # plain tests; this is extra mutation time).
 FUZZTIME ?= 15s
 
@@ -19,6 +19,12 @@ test:
 
 vet:
 	$(GO) vet ./...
+
+# fmt fails when gofmt would change a Go file. Files under testdata/
+# are fixtures whose layout may be under test, so they are left out.
+fmt:
+	@out=$$(gofmt -l . | grep -v '\(^\|/\)testdata/'); \
+	if [ -n "$$out" ]; then echo "gofmt -l lists:"; echo "$$out"; exit 1; fi
 
 # race runs the whole tree under the race detector; the
 # concurrency-sensitive packages (telemetry registry, simulator,
@@ -38,7 +44,7 @@ lint:
 	$(GO) run ./cmd/pcnn-lint -budget lint_budget.json
 	$(GO) run ./cmd/pcnn-lint -model builtin
 
-check: build vet lint test race
+check: build vet fmt lint test race
 
 # bench regenerates the paper's tables/figures as benchmarks.
 bench:
@@ -94,6 +100,7 @@ fuzz:
 	$(GO) test ./internal/truenorth -run '^$$' -fuzz '^FuzzDenseSparseEquivalence$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/truenorth -run '^$$' -fuzz '^FuzzShardEquivalence$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/eedn -run '^$$' -fuzz '^FuzzDenseKernelEquivalence$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/hog -run '^$$' -fuzz '^FuzzFPGAGridEquivalence$$' -fuzztime $(FUZZTIME)
 
 clean:
 	rm -f BENCH_obs.json BENCH_sim.json BENCH_detect.json

@@ -377,7 +377,7 @@ func BenchmarkAblation_TrinaryNarrowHead(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		val := dataset.NewGenerator(cfg.Seed + 555).TrainSet(20, 20)
+		val := dataset.NewGenerator(cfg.Seed+555).TrainSet(20, 20)
 		correct := 0
 		for _, w := range val.Positives {
 			d, err := e.Descriptor(w)
@@ -419,7 +419,7 @@ func BenchmarkAblation_HardNegMining(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		val := dataset.NewGenerator(cfg.Seed + 555).TrainSet(40, 40)
+		val := dataset.NewGenerator(cfg.Seed+555).TrainSet(40, 40)
 		vp, err := core.DescriptorSet(e, val.Positives)
 		if err != nil {
 			b.Fatal(err)

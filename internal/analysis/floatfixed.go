@@ -25,9 +25,11 @@ const fixedPkgPath = "repro/internal/fixed"
 // allowed to perform float arithmetic, because they ARE the boundary:
 //
 //   - FromFloat / ToFloat / Eps / Quantize: the Q<->float64 converters.
-//   - Atan2Bin: models the CORDIC-style comparison network in float;
-//     its error is below one Q LSB (documented at the definition), so
-//     the float model is within quantization noise of the RTL.
+//   - Atan2Bin: a float model of the hardware's bin comparisons. It
+//     takes math.Atan2 of the integer components and floors the angle
+//     into a bin, which can differ from exact comparisons only for a
+//     vector within float rounding of a bin boundary (documented at
+//     the definition).
 var fixedBoundaryFuncs = map[string]bool{
 	"FromFloat": true, "ToFloat": true, "Eps": true,
 	"Quantize": true, "Atan2Bin": true,

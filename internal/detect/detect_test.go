@@ -38,7 +38,7 @@ func TestNewDetectorNilArgs(t *testing.T) {
 func TestNMSKeepsStrongestPerCluster(t *testing.T) {
 	dets := []Detection{
 		{Box: dataset.Box{X: 0, Y: 0, W: 10, H: 10}, Score: 1},
-		{Box: dataset.Box{X: 1, Y: 1, W: 10, H: 10}, Score: 2},   // overlaps, stronger
+		{Box: dataset.Box{X: 1, Y: 1, W: 10, H: 10}, Score: 2},     // overlaps, stronger
 		{Box: dataset.Box{X: 50, Y: 50, W: 10, H: 10}, Score: 0.5}, // separate
 	}
 	kept := NMS(dets, 0.2)

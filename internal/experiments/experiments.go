@@ -474,7 +474,7 @@ func Table2() ([]power.Row, error) { return power.Table2() }
 // set size the partitioned approaches use.
 func Absorbed(cfg Config) (*core.AbsorbedResult, error) {
 	ts := trainSet(cfg)
-	val := dataset.NewGenerator(cfg.Seed + 7).TrainSet(30, 30)
+	val := dataset.NewGenerator(cfg.Seed+7).TrainSet(30, 30)
 	eval := append(append([]*imgproc.Image{}, val.Positives...), val.Negatives...)
 	labels := make([]bool, len(eval))
 	for i := range val.Positives {
@@ -665,7 +665,7 @@ func SVMAccuracy(e core.Extractor, cfg Config) (float64, error) {
 	if err != nil {
 		return 0, err
 	}
-	val := dataset.NewGenerator(cfg.Seed + 555).TrainSet(40, 40)
+	val := dataset.NewGenerator(cfg.Seed+555).TrainSet(40, 40)
 	vp, err := core.DescriptorSet(e, val.Positives)
 	if err != nil {
 		return 0, err

@@ -151,9 +151,17 @@ func (q Q) String() string {
 
 // Atan2Bin returns the orientation bin of the vector (y, x) among nbins
 // evenly spaced bins covering [0°, 180°) when signed is false or
-// [0°, 360°) when signed is true, computed with an octant-folding CORDIC
-// style comparison network rather than a real arctangent, as done in
-// fixed-point HoG hardware. The raw values share any common Q format.
+// [0°, 360°) when signed is true. The raw values share any common Q
+// format.
+//
+// It is a float model, not a comparison network: it takes the angle of
+// (|y|, |x|) with math.Atan2 in float64, unfolds it to the full circle
+// by the signs of x and y, folds it to [0°, 180°) when unsigned, and
+// floors it into a bin. Hardware resolves the same bins by comparing
+// |y|·cos(b) with |x|·sin(b) at each bin boundary b, without division
+// or an arctangent (Suleiman et al.); the float angle can differ from
+// that only for a vector within float rounding of a boundary. The
+// zero vector falls in bin 0.
 func Atan2Bin(y, x int64, nbins int, signed bool) int {
 	if nbins <= 0 {
 		return 0
@@ -168,10 +176,6 @@ func Atan2Bin(y, x int64, nbins int, signed bool) int {
 	if ax == 0 && ay == 0 {
 		return 0
 	}
-	// Compare the vector against the tangent of each bin boundary using
-	// cross-multiplication, which needs no division: angle >= b iff
-	// |y| * cos(b) >= |x| * sin(b) fails ... we walk boundaries in the
-	// first quadrant and fold.
 	deg := math.Atan2(float64(ay), float64(ax)) * 180 / math.Pi // 0..90
 	// Unfold to the full circle.
 	switch {

@@ -138,12 +138,12 @@ func TestAtan2BinUnsigned9(t *testing.T) {
 		y, x int64
 		want int
 	}{
-		{0, 10, 0},    // 0 deg
-		{10, 10, 2},   // 45 deg -> bin 2
-		{10, 0, 4},    // 90 deg -> bin 4
-		{10, -10, 6},  // 135 deg -> bin 6
+		{0, 10, 0},     // 0 deg
+		{10, 10, 2},    // 45 deg -> bin 2
+		{10, 0, 4},     // 90 deg -> bin 4
+		{10, -10, 6},   // 135 deg -> bin 6
 		{-1, -1000, 0}, // ~180+eps folds to ~0
-		{-10, 10, 6},  // 315 folds to 135 -> bin 6
+		{-10, 10, 6},   // 315 folds to 135 -> bin 6
 	}
 	for _, c := range cases {
 		if got := Atan2Bin(c.y, c.x, 9, false); got != c.want {
@@ -157,10 +157,10 @@ func TestAtan2BinSigned18(t *testing.T) {
 		y, x int64
 		want int
 	}{
-		{0, 10, 0},    // 0
-		{10, 0, 4},    // 90 -> bin 4 (90/20)
-		{0, -10, 9},   // 180 -> bin 9
-		{-10, 0, 13},  // 270 -> bin 13
+		{0, 10, 0},     // 0
+		{10, 0, 4},     // 90 -> bin 4 (90/20)
+		{0, -10, 9},    // 180 -> bin 9
+		{-10, 0, 13},   // 270 -> bin 13
 		{-1, 1000, 17}, // just below 360 -> last bin
 	}
 	for _, c := range cases {

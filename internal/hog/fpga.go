@@ -2,6 +2,7 @@ package hog
 
 import (
 	"fmt"
+	"sync"
 
 	"repro/internal/fixed"
 	"repro/internal/imgproc"
@@ -15,20 +16,33 @@ import (
 //
 // It produces descriptors bit-compatible with a Q8.8 datapath: pixels
 // are quantized on ingest, derivatives and magnitudes computed with
-// saturating fixed-point arithmetic, and the orientation bin resolved
-// by a comparison network (fixed.Atan2Bin) rather than an arctangent.
+// saturating fixed-point arithmetic (the magnitude by the bit-serial
+// Q.Sqrt), and the orientation bin given by fixed.Atan2Bin, a float64
+// arctangent model of the hardware's bin comparisons. For pixel
+// differences of at most one (every pair of pixels in [0, 1]) both
+// results come from a precomputed table filled by those same two
+// functions, so the table changes no bit; other pixels run the
+// arithmetic per pixel.
 type FPGAExtractor struct {
 	cfg Config
 	q   fixed.Q
+	tab *gradTable
 }
+
+// The published design's orientation binning; gradTable is built for
+// it.
+const (
+	fpgaBins   = 9
+	fpgaSigned = false
+)
 
 // NewFPGAExtractor returns the fixed-point baseline extractor. The
 // configuration is fixed to the published design (9 unsigned bins,
-// magnitude voting, L2 norm); only window geometry may be customized
-// via opts-style mutation of the returned config is not supported.
+// magnitude voting, L2 norm); only the window geometry is a parameter.
+// The first call builds the shared gradient table (about 0.26 MB).
 func NewFPGAExtractor(windowW, windowH int) (*FPGAExtractor, error) {
 	cfg := Config{
-		CellSize: 8, NBins: 9, Signed: false,
+		CellSize: 8, NBins: fpgaBins, Signed: fpgaSigned,
 		Voting: VoteMagnitude, Norm: NormL2,
 		BlockCells: 2, BlockStride: 1,
 		WindowW: windowW, WindowH: windowH,
@@ -36,7 +50,69 @@ func NewFPGAExtractor(windowW, windowH int) (*FPGAExtractor, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	return &FPGAExtractor{cfg: cfg, q: fixed.Q16_8}, nil
+	return &FPGAExtractor{cfg: cfg, q: fixed.Q16_8, tab: sharedGradTable()}, nil
+}
+
+// gradTableSpan is the largest raw pixel difference |ix|, |iy| the
+// gradient table covers: one unit in Q8.8, the widest difference of
+// two pixels in [0, 1].
+const (
+	gradTableSpan = 256
+	gradTableSide = gradTableSpan + 1
+)
+
+// gradTable holds the Q8.8 datapath's result for every pair of raw
+// pixel differences (ix, iy) with |ix|, |iy| <= gradTableSpan, indexed
+// by |iy|*gradTableSide + |ix|. Each entry packs the magnitude
+// q.Sqrt(ix*ix + iy*iy) in bits 0-15 and, in the four nibbles from bit
+// 16 up, the bin fixed.Atan2Bin(iy, ix) of each sign quadrant k =
+// 2*(ix < 0) + (iy < 0). The magnitude and bins depend on the signs
+// and sizes of the differences only, and a difference this small
+// cannot saturate, so a lookup equals the per-pixel arithmetic.
+type gradTable [gradTableSide * gradTableSide]uint32
+
+var (
+	gradTableOnce sync.Once
+	gradTableData *gradTable
+)
+
+// sharedGradTable returns the package's gradient table, building it on
+// first use.
+func sharedGradTable() *gradTable {
+	gradTableOnce.Do(func() { gradTableData = buildGradTable(fixed.Q16_8) })
+	return gradTableData
+}
+
+// buildGradTable fills every entry by calling the datapath functions
+// themselves, so the table is bit-identical to them by construction.
+func buildGradTable(q fixed.Q) *gradTable {
+	t := new(gradTable)
+	for ay := int64(0); ay <= gradTableSpan; ay++ {
+		for ax := int64(0); ax <= gradTableSpan; ax++ {
+			ent := uint32(q.Sqrt(q.Add(q.Mul(ax, ax), q.Mul(ay, ay))))
+			for k := 0; k < 4; k++ {
+				x, y := ax, ay
+				if k&2 != 0 {
+					x = -ax
+				}
+				if k&1 != 0 {
+					y = -ay
+				}
+				ent |= uint32(fixed.Atan2Bin(y, x, fpgaBins, fpgaSigned)) << (16 + 4*k)
+			}
+			t[ay*gradTableSide+ax] = ent
+		}
+	}
+	return t
+}
+
+// lookup returns the magnitude and bin of the raw differences (ix, iy),
+// which must both lie within ±gradTableSpan.
+func (t *gradTable) lookup(ix, iy int64) (mag int64, bin int) {
+	sx, sy := ix>>63, iy>>63 // -1 when negative, else 0
+	ent := t[((iy^sy)-sy)*gradTableSide+(ix^sx)-sx]
+	k := sx&2 | sy&1
+	return int64(ent & 0xffff), int(ent>>(16+4*k)) & 0xf
 }
 
 // Config returns the extractor's logical HoG configuration.
@@ -84,7 +160,11 @@ func (e *FPGAExtractor) GridInto(g *Grid, img *imgproc.Image) {
 
 // fixedCellPass runs the Q-format gradient/magnitude/bin datapath over
 // every cell. Neighbor clamping happens at row granularity for y and
-// only at the image's outer columns for x.
+// only at the image's outer columns for x. A pixel whose raw
+// differences both lie within ±gradTableSpan reads its magnitude and
+// bin from the table; any other one (pixels outside [0, 1], ±Inf)
+// saturates its differences and runs the arithmetic. A zero gradient
+// needs no branch: it adds magnitude 0 to bin 0.
 //
 //pcnn:hotpath
 func (e *FPGAExtractor) fixedCellPass(g *Grid, pix []int64, iw, ih int) {
@@ -93,6 +173,7 @@ func (e *FPGAExtractor) fixedCellPass(g *Grid, pix []int64, iw, ih int) {
 	q := e.q
 	nb := e.cfg.NBins
 	signed := e.cfg.Signed
+	tab := e.tab
 	var histArr [maxFixedBins]int64
 	hist := histArr[:nb]
 	for j := 0; j < cy; j++ {
@@ -119,13 +200,17 @@ func (e *FPGAExtractor) fixedCellPass(g *Grid, pix []int64, iw, ih int) {
 					if xr >= iw {
 						xr = iw - 1
 					}
-					ix := q.Sub(pix[rowC+xr], pix[rowC+xl])
-					iy := q.Sub(pix[rowU+x], pix[rowD+x])
-					if ix == 0 && iy == 0 {
-						continue
+					ix := pix[rowC+xr] - pix[rowC+xl]
+					iy := pix[rowU+x] - pix[rowD+x]
+					var mag int64
+					var bin int
+					if uint64(ix+gradTableSpan) <= 2*gradTableSpan && uint64(iy+gradTableSpan) <= 2*gradTableSpan {
+						mag, bin = tab.lookup(ix, iy)
+					} else {
+						ix, iy = q.Saturate(ix), q.Saturate(iy)
+						mag = q.Sqrt(q.Add(q.Mul(ix, ix), q.Mul(iy, iy)))
+						bin = fixed.Atan2Bin(iy, ix, nb, signed)
 					}
-					mag := q.Sqrt(q.Add(q.Mul(ix, ix), q.Mul(iy, iy)))
-					bin := fixed.Atan2Bin(iy, ix, nb, signed)
 					hist[bin] = q.Add(hist[bin], mag)
 				}
 			}

@@ -102,8 +102,8 @@ func TestCellGridHorizontalRamp(t *testing.T) {
 }
 
 func TestBinOfSignedVsUnsigned(t *testing.T) {
-	u := mustExtractor(t, Reference())        // 9 bins, unsigned
-	s := mustExtractor(t, NApproxStyle())     // 18 bins, signed
+	u := mustExtractor(t, Reference())    // 9 bins, unsigned
+	s := mustExtractor(t, NApproxStyle()) // 18 bins, signed
 	// 200 degrees: unsigned folds to 20 -> bin 1; signed -> bin 10.
 	ang := 200 * math.Pi / 180
 	if ang > math.Pi {

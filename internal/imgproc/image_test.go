@@ -284,10 +284,10 @@ func TestReadPGMWithComments(t *testing.T) {
 
 func TestReadPGMErrors(t *testing.T) {
 	cases := []string{
-		"P2\n2 1\n255\n00",        // ascii PGM unsupported
+		"P2\n2 1\n255\n00",         // ascii PGM unsupported
 		"P5\n2 1\n65535\n\x00\x00", // 16-bit unsupported
-		"P5\n2 1\n255\n\x00",      // short data
-		"P5\nx 1\n255\n\x00\x00",  // bad token
+		"P5\n2 1\n255\n\x00",       // short data
+		"P5\nx 1\n255\n\x00\x00",   // bad token
 	}
 	for _, c := range cases {
 		if _, err := ReadPGM(bytes.NewReader([]byte(c))); err == nil {

@@ -40,10 +40,10 @@ type targetJSON struct {
 }
 
 type modelJSON struct {
-	Version int          `json:"version"`
-	Cores   []coreJSON   `json:"cores"`
+	Version int            `json:"version"`
+	Cores   []coreJSON     `json:"cores"`
 	Routes  [][]targetJSON `json:"routes"`
-	Inputs  []targetJSON `json:"inputs"`
+	Inputs  []targetJSON   `json:"inputs"`
 }
 
 // Save writes the model as a JSON model file.
